@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench bench-gate pgo
+.PHONY: check fmt vet build test race serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench bench-gate pgo perf-ab
 
 # BENCH is the tracked benchmark artifact for this PR in the BENCH_<n>.json
 # trajectory; bump the number when a PR re-records performance.
@@ -226,3 +226,13 @@ bench-gate:
 # see scripts/pgo.sh. Rebuild or re-bench with PGOFLAG=-pgo=default.pgo.
 pgo:
 	sh scripts/pgo.sh
+
+# Interleaved same-machine A/B of the repository benchmark (perfbench) of
+# the working tree against its parent commit: alternating runs per side,
+# per-metric medians, change/parent ratios and pair wins; see
+# scripts/perf-ab.sh for the flags, e.g.
+# make perf-ab PERF_AB_ARGS='--samples 10 --workloads recover-cold'.
+PERF_AB_ARGS ?=
+
+perf-ab:
+	bash scripts/perf-ab.sh $(PERF_AB_ARGS)

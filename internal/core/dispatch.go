@@ -9,7 +9,9 @@ import (
 // ExtractSelectors recovers the function ids a contract dispatches on by
 // symbolically executing the dispatcher: every EQ comparison between a
 // 4-byte constant and an expression derived from CALLDATALOAD(0) via
-// DIV/SHR/AND is a dispatch test (§2.2 of the paper).
+// DIV/SHR/AND is a dispatch test (§2.2 of the paper). The walk stops at
+// each function entry (see dispatchMatch), so it explores the dispatcher
+// only, never a function body.
 func ExtractSelectors(program *Program) [][4]byte {
 	sels, _ := extractSelectors(program, defaultLimits())
 	return sels
@@ -36,15 +38,8 @@ func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventl
 		if ev.Kind != EvOp || ev.Op != evm.EQ {
 			continue
 		}
-		c, sel := ev.Args[0], ev.Args[1]
-		if c.Conc == nil {
-			c, sel = sel, c
-		}
-		if c.Conc == nil || !isSelectorExpr(sel) {
-			continue
-		}
-		v, ok := c.ConstUint()
-		if !ok || v > 0xffffffff {
+		v, ok := selectorTest(ev.Args[0], ev.Args[1])
+		if !ok {
 			continue
 		}
 		var id [4]byte
@@ -58,6 +53,36 @@ func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventl
 		}
 	}
 	return out, t.trunc
+}
+
+// selectorTest reports whether EQ(a, b) compares a 4-byte constant with the
+// call's selector, in either operand order, and returns the constant.
+func selectorTest(a, b *Expr) (uint64, bool) {
+	c, sel := a, b
+	if c.Conc == nil {
+		c, sel = sel, c
+	}
+	if c.Conc == nil || !isSelectorExpr(sel) {
+		return 0, false
+	}
+	v, ok := c.ConstUint()
+	return v, ok && v <= 0xffffffff
+}
+
+// dispatchMatch recognizes a dispatcher branch: a JUMPI condition that is a
+// selectorTest under any number of ISZEROs, so its match side is a function
+// entry. It reports whether the jump is taken when the selector does not
+// match. The dispatcher walk follows only that side, so it never explores a
+// function body; each body gets its own per-selector trace.
+func dispatchMatch(cond *Expr) (noMatchTaken, ok bool) {
+	for cond.Kind == KindApp && cond.Op == evm.ISZERO {
+		cond, noMatchTaken = cond.Args[0], !noMatchTaken
+	}
+	if cond.Kind != KindApp || cond.Op != evm.EQ {
+		return false, false
+	}
+	_, ok = selectorTest(cond.Args[0], cond.Args[1])
+	return noMatchTaken, ok
 }
 
 // isSelectorExpr recognizes expressions that extract the high 4 bytes of

@@ -254,41 +254,43 @@ type claim struct {
 	rules []RuleID
 }
 
+// claimList holds the claims made so far. A head offset is taken when it is
+// one of a claim's 32-byte slots: off, off+32, ... below off+size. Testing
+// the ranges keeps the cost per claim, not per array word.
+type claimList []claim
+
+// has reports whether head offset x is a slot of some claim.
+func (cs claimList) has(x uint64) bool {
+	for _, cl := range cs {
+		if d := x - cl.off; x >= cl.off && d < cl.size && d%32 == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // classify performs coarse inference (head layout) and then fine inference
 // per parameter, returning the types and per-parameter rule trails.
 func (inf *inference) classify() ([]abi.Type, [][]RuleID) {
-	claimed := make(map[uint64]bool) // head offsets already absorbed
-	var claims []claim
-	addClaim := func(cl claim) {
-		for o := cl.off; o < cl.off+cl.size; o += 32 {
-			claimed[o] = true
-		}
-		claims = append(claims, cl)
-	}
+	var claims claimList
 
 	// 1. Dynamic parameters: head slots whose loaded value is dereferenced.
 	derefed := inf.derefedHeadSlots()
 	for _, off := range derefed {
 		inf.beginParam()
 		typ := inf.classifyDynamic(off)
-		addClaim(claim{off: off, size: 32, typ: typ, rules: inf.takeRules()})
+		claims = append(claims, claim{off: off, size: 32, typ: typ, rules: inf.takeRules()})
 	}
 
 	// 2. Static arrays copied in public mode (constant-source CALLDATACOPY).
-	for _, cl := range inf.staticPublicArrays(claimed) {
-		addClaim(cl)
-	}
+	claims = append(claims, inf.staticPublicArrays(claims)...)
 
 	// 3. Static arrays read in external mode (pc-grouped constant loads
 	//    under constant bound checks).
-	for _, cl := range inf.staticExternalArrays(claimed) {
-		addClaim(cl)
-	}
+	claims = append(claims, inf.staticExternalArrays(claims)...)
 
 	// 4. Remaining constant head reads are basic values.
-	for _, cl := range inf.basicClaims(claimed) {
-		addClaim(cl)
-	}
+	claims = append(claims, inf.basicClaims(claims)...)
 
 	slices.SortFunc(claims, func(a, b claim) int { return cmp.Compare(a.off, b.off) })
 	types := make([]abi.Type, 0, len(claims))
@@ -388,7 +390,7 @@ func buildStaticArray(dims []uint64, elem abi.Type) abi.Type {
 }
 
 // staticPublicArrays recognizes rule R6/R9 claims.
-func (inf *inference) staticPublicArrays(claimed map[uint64]bool) []claim {
+func (inf *inference) staticPublicArrays(claimed claimList) []claim {
 	type group struct {
 		minSrc uint64
 		ev     Event
@@ -415,7 +417,7 @@ func (inf *inference) staticPublicArrays(claimed map[uint64]bool) []claim {
 	var out []claim
 	for _, pc := range order {
 		g := groups[pc]
-		if claimed[g.minSrc] {
+		if claimed.has(g.minSrc) {
 			continue
 		}
 		inf.beginParam()
@@ -446,7 +448,7 @@ func (inf *inference) staticPublicArrays(claimed map[uint64]bool) []claim {
 // staticExternalArrays recognizes rule R3 (and Vyper R24) claims: the same
 // CALLDATALOAD instruction observed at multiple constant offsets, guarded by
 // constant bound checks.
-func (inf *inference) staticExternalArrays(claimed map[uint64]bool) []claim {
+func (inf *inference) staticExternalArrays(claimed claimList) []claim {
 	type group struct {
 		offs []uint64
 		ev   Event
@@ -477,7 +479,7 @@ func (inf *inference) staticExternalArrays(claimed map[uint64]bool) []claim {
 		}
 		slices.Sort(g.offs)
 		base := g.offs[0]
-		if claimed[base] {
+		if claimed.has(base) {
 			continue
 		}
 		inf.beginParam()
@@ -505,12 +507,12 @@ func (inf *inference) staticExternalArrays(claimed map[uint64]bool) []claim {
 
 // basicClaims turns the remaining constant head reads into basic values
 // (rule R4 for Solidity, R25 for Vyper).
-func (inf *inference) basicClaims(claimed map[uint64]bool) []claim {
+func (inf *inference) basicClaims(claimed claimList) []claim {
 	seen := make(map[uint64]bool)
 	var out []claim
 	for _, ev := range inf.cdls {
 		off, ok := ev.Off.ConstUint()
-		if !ok || off < 4 || claimed[off] || seen[off] {
+		if !ok || off < 4 || claimed.has(off) || seen[off] {
 			continue
 		}
 		seen[off] = true

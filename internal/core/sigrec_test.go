@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"sigrec/internal/abi"
+	"sigrec/internal/evm"
 	"sigrec/internal/solc"
 	"sigrec/internal/vyperc"
 )
@@ -249,32 +251,49 @@ func TestRuleStatsPlumbing(t *testing.T) {
 }
 
 // TestBinaryDispatchRecovery: function ids behind a binary-search
-// dispatcher (GT splits) must all be extracted and typed.
+// dispatcher (GT splits) must all be extracted, in the walk's order, and
+// typed.
 func TestBinaryDispatchRecovery(t *testing.T) {
-	var fns []solc.Function
-	want := make(map[abi.Selector]string)
-	types := []string{
-		"(uint256)", "(address,uint256)", "(bytes)", "(bool)",
-		"(uint8[3])", "(uint256[])", "(string)", "(int64)", "(bytes32,uint256)",
-	}
-	for i, tl := range types {
-		sig, err := abi.ParseSignature(string(rune('a'+i)) + "fn" + tl)
-		if err != nil {
-			t.Fatal(err)
+	sigs := dispatchSigs(t, 9)
+	code := compileSolSigs(t, sigs, solc.DefaultVersion())
+	// solc splits the selectors, sorted, at the middle until at most three
+	// remain, falling through to the upper half and jumping to the lower.
+	// The walk runs each path to its end first (the upper halves' EQ
+	// tests), then the lower halves it forked, earliest fork first.
+	bySel := slices.Clone(sigs)
+	slices.SortFunc(bySel, func(a, b abi.Signature) int {
+		sa, sb := a.Selector(), b.Selector()
+		return slices.Compare(sa[:], sb[:])
+	})
+	var walkOrder func(group []abi.Signature) []abi.Signature
+	walkOrder = func(group []abi.Signature) []abi.Signature {
+		var forks [][]abi.Signature
+		for len(group) > 3 {
+			mid := len(group) / 2
+			forks = append(forks, group[:mid])
+			group = group[mid:]
 		}
-		want[sig.Selector()] = sig.TypeList()
-		fns = append(fns, solc.Function{Sig: sig, Mode: solc.External})
+		out := slices.Clone(group)
+		for _, f := range forks {
+			out = append(out, walkOrder(f)...)
+		}
+		return out
 	}
-	code, err := solc.Compile(solc.Contract{Functions: fns}, solc.Config{Version: solc.DefaultVersion()})
-	if err != nil {
-		t.Fatal(err)
+	sels, trunc := extractSelectors(evm.Disassemble(code), defaultLimits())
+	if want := selectorsOf(walkOrder(bySel)); !slices.Equal(sels, want) || trunc {
+		t.Errorf("selectors %x (truncated %v), want %x", sels, trunc, want)
 	}
+
 	res, err := Recover(code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Functions) != len(fns) {
-		t.Fatalf("recovered %d of %d functions", len(res.Functions), len(fns))
+	if len(res.Functions) != len(sigs) {
+		t.Fatalf("recovered %d of %d functions", len(res.Functions), len(sigs))
+	}
+	want := make(map[abi.Selector]string)
+	for _, s := range sigs {
+		want[s.Selector()] = s.TypeList()
 	}
 	for _, f := range res.Functions {
 		wantTL, ok := want[f.Selector]

@@ -578,8 +578,15 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 			mkGuard := func(taken bool) Guard {
 				return Guard{PC: ins.PC, Cond: cond, Taken: taken, Lo: lo, Hi: hi}
 			}
-			if cond.Conc != nil {
-				taken := !cond.Conc.IsZero()
+			taken, decided := false, cond.Conc != nil
+			if decided {
+				taken = !cond.Conc.IsZero()
+			} else if t.selWord == nil {
+				// Dispatcher walk: at a function entry follow only the
+				// no-match side; the body gets its own per-selector trace.
+				taken, decided = dispatchMatch(cond)
+			}
+			if decided {
 				st.guards = append(st.guards, mkGuard(taken))
 				if taken {
 					st.pc = dv
