@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench bench-gate pgo perf-ab
+.PHONY: check fmt vet build test race serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench bench-gate pgo perf-ab netlines
 
 # BENCH is the tracked benchmark artifact for this PR in the BENCH_<n>.json
 # trajectory; bump the number when a PR re-records performance.
@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInferMutatedContract$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreCorruption$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointParse$$' -fuzztime 10s ./internal/scan
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractTraceparent$$' -fuzztime 10s ./internal/obs
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E3' -benchtime 1x .
@@ -236,3 +237,12 @@ PERF_AB_ARGS ?=
 
 perf-ab:
 	bash scripts/perf-ab.sh $(PERF_AB_ARGS)
+
+# Net production Go lines against BASE: added, removed and net lines over
+# non-test .go files outside perfbench/. git diff sees only tracked files,
+# so stage new files first, or measure a commit with BASE=HEAD~1.
+BASE ?= HEAD
+
+netlines:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)perfbench/**' \
+		| awk '{a += $$1; d += $$2} END {printf "+%d -%d = %+d\n", a, d, a - d}'

@@ -57,8 +57,8 @@ import (
 	"time"
 
 	"sigrec/internal/cluster"
+	"sigrec/internal/daemon"
 	"sigrec/internal/obs"
-	"sigrec/internal/otlp"
 	"sigrec/internal/server"
 	"sigrec/internal/telemetry"
 )
@@ -86,52 +86,31 @@ func run() error {
 		healthIntv = flag.Duration("health-interval", cluster.DefaultHealthInterval, "shard health/p95 poll period")
 		loadFactor = flag.Float64("load-factor", cluster.DefaultLoadFactor, "bounded-load factor: divert from an owner loaded past this multiple of the mean")
 		batchConc  = flag.Int("batch-concurrency", 0, "max in-flight upstream calls per batch request (0 = 4 per shard)")
-		slowest    = flag.Int("trace-slowest", obs.DefaultSlowest, "routed requests retained in the router's flight recorder (0 = tracing off)")
-		otlpEP     = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL; router metrics and span trees are exported there (empty = export off)")
-		otlpIntv   = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP flush cadence: one metrics snapshot per tick")
-		svcName    = flag.String("service-name", "sigrec-router", "service.name resource attribute on every OTLP export")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-		version    = flag.Bool("version", false, "print version and exit")
+		df         = daemon.RegisterFlags(flag.CommandLine, "sigrec-router")
 	)
 	flag.Parse()
 
-	if *version {
+	if df.Version {
 		fmt.Println(obs.VersionString())
 		return nil
 	}
-	logger, err := buildLogger(*logFormat, *logLevel)
+	// OTLP export ships the router's own registry (routing counters,
+	// per-shard health, latency summaries) and the span tree recorded for
+	// every routed request: route decision, per-attempt client spans,
+	// health polls.
+	reg := telemetry.NewRegistry()
+	drt, err := daemon.New(df, reg, nil)
 	if err != nil {
 		return err
 	}
-	shards, err := parseShards(*shardSpec)
+	logger := drt.Logger
+	shards, err := cluster.ParseShards(*shardSpec)
+	if err == nil && len(shards) == 0 {
+		err = errors.New("required (id=url,...)")
+	}
 	if err != nil {
 		flag.Usage()
-		return err
-	}
-
-	// OTLP export ships the router's registry (routing counters, per-shard
-	// health, latency summaries) and — through the tracer's sink — the span
-	// tree recorded for every routed request: route decision, per-attempt
-	// client spans, health polls. The exporter is created before the router
-	// so both can share one registry and the tracer can point at its sink.
-	reg := telemetry.NewRegistry()
-	var exporter *otlp.Exporter
-	if *otlpEP != "" {
-		ver, _ := obs.Version()
-		exporter = otlp.New(otlp.Config{
-			Endpoint:    *otlpEP,
-			Interval:    *otlpIntv,
-			ServiceName: *svcName,
-			Resource:    map[string]string{"service.version": ver},
-			Registry:    reg,
-			Logger:      logger,
-		})
-		exporter.Start()
-	}
-	var tracer *obs.Tracer
-	if *slowest > 0 {
-		tracer = obs.New(obs.Config{Slowest: *slowest, Sink: exporter.Sink()})
+		return fmt.Errorf("-shards: %w", err)
 	}
 
 	rt, err := cluster.NewRouter(cluster.Config{
@@ -149,7 +128,7 @@ func run() error {
 		LoadFactor:       *loadFactor,
 		BatchConcurrency: *batchConc,
 		Registry:         reg,
-		Tracer:           tracer,
+		Tracer:           drt.Tracer,
 		Logger:           logger,
 	})
 	if err != nil {
@@ -167,6 +146,7 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
+	drt.Start()
 
 	ver, goVer := obs.Version()
 	logger.Info("sigrec-router listening",
@@ -181,8 +161,8 @@ func run() error {
 		"breaker_failures", *brkFails,
 		"breaker_cooldown", (*brkCool).String(),
 		"load_factor", *loadFactor,
-		"tracing", tracer != nil,
-		"otlp_endpoint", *otlpEP,
+		"tracing", drt.Tracer != nil,
+		"otlp_endpoint", df.OTLPEndpoint,
 		"version", ver,
 		"go_version", goVer,
 	)
@@ -198,34 +178,9 @@ func run() error {
 	defer cancel()
 	serr := hs.Shutdown(sctx)
 	rt.Close()
-	if exporter != nil {
-		if err := exporter.Close(sctx); err != nil {
-			logger.Warn("otlp exporter close timed out", "err", err)
-		}
-	}
+	drt.Close(sctx)
 	if errors.Is(serr, context.DeadlineExceeded) {
 		return errors.New("shutdown deadline exceeded")
 	}
 	return serr
-}
-
-// parseShards parses -shards: "id1=http://host:port,id2=...".
-func parseShards(spec string) ([]cluster.ShardAddr, error) {
-	var shards []cluster.ShardAddr
-	seen := map[string]bool{}
-	for _, part := range splitComma(spec) {
-		id, url, ok := cutEq(part)
-		if !ok {
-			return nil, fmt.Errorf("-shards entry %q is not id=url", part)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("-shards lists shard %q twice", id)
-		}
-		seen[id] = true
-		shards = append(shards, cluster.ShardAddr{ID: id, URL: url})
-	}
-	if len(shards) == 0 {
-		return nil, errors.New("-shards is required (id=url,...)")
-	}
-	return shards, nil
 }

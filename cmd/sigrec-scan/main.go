@@ -40,8 +40,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -50,12 +48,11 @@ import (
 
 	"sigrec/internal/chain"
 	"sigrec/internal/core"
+	"sigrec/internal/daemon"
 	"sigrec/internal/eventlog"
 	"sigrec/internal/obs"
-	"sigrec/internal/otlp"
 	"sigrec/internal/scan"
 	"sigrec/internal/server"
-	"sigrec/internal/slo"
 	"sigrec/internal/store"
 )
 
@@ -95,19 +92,13 @@ func run() error {
 
 		eventMB   = flag.Int("event-log-max-mb", 64, "rotate the event log past this many MB per segment")
 		debugAddr = flag.String("debug-addr", "", "listen address for the scanner's operator surface: /metrics, /healthz, /debug/slowest, /debug/trace/{id}, /debug/slo, /debug/events, pprof (empty = disabled)")
-		otlpEP    = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL; deployment span trees and metrics are exported there (empty = export off)")
-		otlpIntv  = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP flush cadence: trace batches at least this often, one metrics snapshot per tick")
-		svcName   = flag.String("service-name", "sigrec-scan", "service.name resource attribute on every OTLP export")
 		sloLatUS  = flag.Duration("slo-latency-threshold", 500*time.Millisecond, "latency SLO: the duration 99% of recoveries must complete under (0 = latency objective off)")
-		slowest   = flag.Int("trace-slowest", obs.DefaultSlowest, "recoveries retained in the flight recorder (0 = tracing off)")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		stats     = flag.Bool("stats", true, "dump a final metrics snapshot to stderr on exit")
-		version   = flag.Bool("version", false, "print version and exit")
+		df        = daemon.RegisterFlags(flag.CommandLine, "sigrec-scan")
 	)
 	flag.Parse()
 
-	if *version {
+	if df.Version {
 		fmt.Println(obs.VersionString())
 		return nil
 	}
@@ -119,10 +110,14 @@ func run() error {
 		return errors.New("-deploys-per-block, -templates, and -chain-blocks must be positive")
 	}
 
-	logger, err := buildLogger(*logFormat, *logLevel)
+	// Per-deployment span trees and metrics snapshots are exported when
+	// -otlp-endpoint is set.
+	reg := core.Metrics()
+	rt, err := daemon.New(df, reg, nil)
 	if err != nil {
 		return err
 	}
+	logger := rt.Logger
 	if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 		return err
 	}
@@ -170,54 +165,10 @@ func run() error {
 		end = *chainLen - 1
 	}
 
-	// OTLP export: per-deployment span trees flow tracer -> exporter sink
-	// -> collector; metrics snapshots ship each interval. -trace-slowest 0
-	// disables span export along with the flight recorder.
-	reg := core.Metrics()
-	var exporter *otlp.Exporter
-	if *otlpEP != "" {
-		ver, _ := obs.Version()
-		exporter = otlp.New(otlp.Config{
-			Endpoint:    *otlpEP,
-			Interval:    *otlpIntv,
-			ServiceName: *svcName,
-			Resource:    map[string]string{"service.version": ver},
-			Registry:    reg,
-			Logger:      logger,
-		})
-	}
-	var tracer *obs.Tracer
-	if *slowest > 0 {
-		tracer = obs.New(obs.Config{Slowest: *slowest, Sink: exporter.Sink()})
-	}
-
 	// Burn-rate engine over the scanner's own outcome counters (errors are
-	// a subset of completions, so the availability SLI is exact) plus an
-	// optional latency objective on the recovery summary. State serves at
-	// /debug/slo on -debug-addr; transitions land in the event log.
-	objectives := []slo.Objective{{
-		Name:   "availability",
-		Target: 0.999,
-		Source: slo.CounterSource{
-			Total:  reg.Counter("sigrec_scan_recoveries_total"),
-			Errors: reg.Counter("sigrec_scan_recover_errors_total"),
-		},
-	}}
-	if *sloLatUS > 0 {
-		objectives = append(objectives, slo.Objective{
-			Name:   fmt.Sprintf("latency_p99_%s", *sloLatUS),
-			Target: 0.99,
-			Source: slo.LatencySource{
-				Summary:     reg.Summary("sigrec_recover_latency_microseconds", nil),
-				ThresholdUS: float64(sloLatUS.Microseconds()),
-			},
-		})
-	}
-	sloEval := slo.New(slo.Config{
-		Objectives: objectives,
-		Registry:   reg,
-		Events:     events,
-	})
+	// a subset of completions, so the availability SLI is exact). State
+	// serves at /debug/slo on -debug-addr.
+	rt.EvaluateSLO("sigrec_scan_recoveries_total", "sigrec_scan_recover_errors_total", *sloLatUS, events)
 	cfg := scan.Config{
 		Source:          source,
 		Cache:           core.NewTieredCache(*cacheEnt, resultStore).Cache,
@@ -236,7 +187,7 @@ func run() error {
 			Deadline:        *timeout,
 			SelectorWorkers: *selWork,
 		},
-		Tracer: tracer,
+		Tracer: rt.Tracer,
 		Logger: logger,
 	}
 	if haveResume {
@@ -259,60 +210,34 @@ func run() error {
 		mode = "live"
 	}
 
-	sloEval.Start()
-	if exporter != nil {
-		exporter.Start()
-	}
+	rt.Start()
 	// The debug listener is the scanner's only HTTP surface, so unlike
 	// sigrecd it also mounts /metrics and /healthz here.
-	var dbg *http.Server
-	if *debugAddr != "" {
-		dbg = &http.Server{
-			Addr: *debugAddr,
-			Handler: server.DebugHandler(server.DebugOptions{
-				Tracer:  tracer,
-				Events:  events,
-				SLO:     sloEval,
-				Metrics: reg,
-				Trace: server.TraceHandler(server.TraceOptions{
-					Service: *svcName,
-					Tracer:  tracer,
-				}),
-				Health: func() any {
-					return struct {
-						Status string `json:"status"`
-						Mode   string `json:"mode"`
-					}{"ok", mode}
-				},
-			}),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "err", err)
-			}
-		}()
-	}
+	rt.ServeDebug(*debugAddr, server.DebugHandler(server.DebugOptions{
+		Tracer:  rt.Tracer,
+		Events:  events,
+		SLO:     rt.SLO,
+		Metrics: reg,
+		Trace: server.TraceHandler(server.TraceOptions{
+			Service: df.ServiceName,
+			Tracer:  rt.Tracer,
+		}),
+		Health: func() any {
+			return struct {
+				Status string `json:"status"`
+				Mode   string `json:"mode"`
+			}{"ok", mode}
+		},
+	}))
 
 	logger.Info("scan starting", "mode", mode, "data", *dataDir, "seed", *seed,
 		"blocks", *chainLen, "end", end, "workers", cfg.Workers,
-		"debug_addr", *debugAddr, "otlp_endpoint", *otlpEP)
+		"debug_addr", *debugAddr, "otlp_endpoint", df.OTLPEndpoint)
 
 	serr := scanner.Run(ctx)
-
-	sloEval.Close()
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if dbg != nil {
-		_ = dbg.Shutdown(sctx)
-	}
-	// Flush the export queue after the pipeline drains so the collector
-	// sees the final deployments and terminal counter values.
-	if exporter != nil {
-		if err := exporter.Close(sctx); err != nil {
-			logger.Warn("otlp exporter close timed out", "err", err)
-		}
-	}
+	rt.Close(sctx)
 
 	// Drain order mirrors sigrecd: finish the pipeline (Run already saved
 	// the final checkpoint), then close the log (flush + fsync), then the
@@ -336,29 +261,4 @@ func run() error {
 	}
 	logger.Info("scan drained")
 	return nil
-}
-
-func buildLogger(format, level string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q", format)
-	}
 }

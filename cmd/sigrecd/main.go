@@ -57,24 +57,21 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"sigrec"
 	"sigrec/internal/cluster"
 	"sigrec/internal/core"
+	"sigrec/internal/daemon"
 	"sigrec/internal/efsd"
 	"sigrec/internal/eventlog"
 	"sigrec/internal/obs"
-	"sigrec/internal/otlp"
 	"sigrec/internal/server"
-	"sigrec/internal/slo"
 	"sigrec/internal/store"
 )
 
@@ -98,25 +95,19 @@ func run() error {
 		selWork   = flag.Int("selector-workers", 1, "parallel selector explorations per contract (1 = sequential, 0 = auto up to GOMAXPROCS)")
 		maxBody   = flag.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		debugAddr = flag.String("debug-addr", "", "listen address for pprof + /debug/slowest (empty = disabled)")
-		slowest   = flag.Int("trace-slowest", obs.DefaultSlowest, "recoveries retained in the flight recorder (0 = tracing off)")
 		eventLog  = flag.String("event-log", "", "path for the durable wide-event log, one NDJSON record per recovery (empty = disabled)")
 		eventMB   = flag.Int("event-log-max-mb", 64, "rotate the event log past this many MB per segment")
 		sampleR   = flag.Float64("sample-rate", 1, "keep probability for fast, successful recoveries in the event log; errors, truncations, and the slow tail are always kept")
-		otlpEP    = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL, e.g. http://127.0.0.1:4318; spans and metrics are exported there (empty = export off)")
-		otlpIntv  = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP flush cadence: trace batches at least this often, one metrics snapshot per tick")
-		svcName   = flag.String("service-name", "sigrecd", "service.name resource attribute on every OTLP export")
 		sloLatUS  = flag.Duration("slo-latency-threshold", 100*time.Millisecond, "latency SLO: the duration 99% of recoveries must complete under (0 = latency objective off)")
 		shardID   = flag.String("shard-id", "", "this shard's id on the cluster hash ring (enables peer cache fill when -peers is set)")
 		peerSpec  = flag.String("peers", "", "comma-separated peer shards as id=url; on a local cache miss whose ring owner is a peer, its cache is consulted before computing")
 		vnodes    = flag.Int("vnodes", 0, "virtual nodes per shard on the cluster hash ring (0 = default; must match the router)")
-		version   = flag.Bool("version", false, "print version and exit")
+		df        = daemon.RegisterFlags(flag.CommandLine, "sigrecd")
 	)
 	flag.Parse()
 
-	if *version {
+	if df.Version {
 		fmt.Println(obs.VersionString())
 		return nil
 	}
@@ -124,10 +115,11 @@ func run() error {
 	if err := validateFlags(*workers, *queue, *maxBody, *selWork); err != nil {
 		return usageError(err)
 	}
-	peers, err := parsePeers(*peerSpec)
+	shards, err := cluster.ParseShards(*peerSpec)
 	if err != nil {
-		return usageError(err)
+		return usageError(fmt.Errorf("-peers: %w", err))
 	}
+	peers := cluster.ShardURLs(shards)
 	if len(peers) > 0 && *shardID == "" {
 		return usageError(errors.New("-peers requires -shard-id"))
 	}
@@ -135,35 +127,11 @@ func run() error {
 		return usageError(fmt.Errorf("-peers must not include this shard's own id %q", *shardID))
 	}
 
-	logger, err := buildLogger(*logFormat, *logLevel)
+	rt, err := daemon.New(df, core.Metrics(), map[string]string{"sigrec.shard": *shardID})
 	if err != nil {
 		return err
 	}
-	// OTLP export: spans flow tracer -> exporter sink -> collector; metrics
-	// are snapshotted from the shared registry each interval. The exporter
-	// is created before the tracer so the tracer's sink can point at it.
-	var exporter *otlp.Exporter
-	if *otlpEP != "" {
-		ver, _ := obs.Version()
-		res := map[string]string{"service.version": ver}
-		if *shardID != "" {
-			res["sigrec.shard"] = *shardID
-		}
-		exporter = otlp.New(otlp.Config{
-			Endpoint:    *otlpEP,
-			Interval:    *otlpIntv,
-			ServiceName: *svcName,
-			Resource:    res,
-			Registry:    core.Metrics(),
-			Logger:      logger,
-		})
-	}
-	var tracer *obs.Tracer
-	if *slowest > 0 {
-		// Span export rides on tracing: -trace-slowest 0 disables both the
-		// flight recorder and OTLP trace export (metrics still flow).
-		tracer = obs.New(obs.Config{Slowest: *slowest, Sink: exporter.Sink()})
-	}
+	logger, tracer := rt.Logger, rt.Tracer
 	var events *eventlog.Writer
 	if *eventLog != "" {
 		events, err = eventlog.New(eventlog.Config{
@@ -177,35 +145,9 @@ func run() error {
 		}
 	}
 
-	// Burn-rate engine: availability over the /v1/recover outcome counters
-	// and (optionally) a latency objective over the recovery summary, both
-	// already in the shared registry, evaluated on the SRE-workbook
-	// multi-window rules. Alert transitions land in the event log; state is
+	// Burn-rate engine over the /v1/recover outcome counters; state is
 	// served at /debug/slo on both listeners.
-	reg := core.Metrics()
-	objectives := []slo.Objective{{
-		Name:   "availability",
-		Target: 0.999,
-		Source: slo.CounterSource{
-			Total:  reg.Counter("sigrecd_recover_requests_total"),
-			Errors: reg.Counter("sigrecd_recover_errors_total"),
-		},
-	}}
-	if *sloLatUS > 0 {
-		objectives = append(objectives, slo.Objective{
-			Name:   fmt.Sprintf("latency_p99_%s", *sloLatUS),
-			Target: 0.99,
-			Source: slo.LatencySource{
-				Summary:     reg.Summary("sigrec_recover_latency_microseconds", nil),
-				ThresholdUS: float64(sloLatUS.Microseconds()),
-			},
-		})
-	}
-	sloEval := slo.New(slo.Config{
-		Objectives: objectives,
-		Registry:   reg,
-		Events:     events,
-	})
+	rt.EvaluateSLO("sigrecd_recover_requests_total", "sigrecd_recover_errors_total", *sloLatUS, events)
 
 	// Persistent tier: with -store-dir the result cache is tiered — memory
 	// LRU over an append-only disk store — so a restarted shard serves its
@@ -245,7 +187,7 @@ func run() error {
 	// fall back to the OTLP service name for a standalone process. The
 	// -peers map doubles as the trace fan-out targets: the same shards that
 	// can fill this cache can hold fragments of this trace.
-	service := *svcName
+	service := df.ServiceName
 	if *shardID != "" {
 		service = *shardID
 	}
@@ -263,7 +205,7 @@ func run() error {
 		Tracer:          tracer,
 		EventLog:        events,
 		CacheFill:       fill,
-		SLO:             sloEval,
+		SLO:             rt.SLO,
 		Service:         service,
 		TracePeers:      peers,
 	})
@@ -281,33 +223,8 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	sloEval.Start()
-	if exporter != nil {
-		exporter.Start()
-	}
-
-	var dbg *http.Server
-	if *debugAddr != "" {
-		dbg = &http.Server{
-			Addr: *debugAddr,
-			Handler: server.DebugHandler(server.DebugOptions{
-				Tracer: tracer,
-				Events: events,
-				SLO:    sloEval,
-				Trace: server.TraceHandler(server.TraceOptions{
-					Service: service,
-					Tracer:  tracer,
-					Peers:   peers,
-				}),
-			}),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "err", err)
-			}
-		}()
-	}
+	rt.Start()
+	rt.ServeDebug(*debugAddr, server.DebugHandler(srv.DebugOptions()))
 
 	rc := srv.ResolvedConfig()
 	ver, goVer := obs.Version()
@@ -329,8 +246,8 @@ func run() error {
 		"sample_rate", *sampleR,
 		"shard_id", *shardID,
 		"peers", len(peers),
-		"otlp_endpoint", *otlpEP,
-		"service_name", *svcName,
+		"otlp_endpoint", df.OTLPEndpoint,
+		"service_name", df.ServiceName,
 		"version", ver,
 		"go_version", goVer,
 	)
@@ -350,17 +267,7 @@ func run() error {
 	// pool (queued jobs finish) and emit the final telemetry snapshot.
 	serr := hs.Shutdown(sctx)
 	derr := srv.Drain(sctx)
-	if dbg != nil {
-		_ = dbg.Shutdown(sctx)
-	}
-	sloEval.Close()
-	// Flush the export queue after the pool drains so the collector sees
-	// the final recoveries and terminal counter values.
-	if exporter != nil {
-		if err := exporter.Close(sctx); err != nil {
-			logger.Warn("otlp exporter close timed out", "err", err)
-		}
-	}
+	rt.Close(sctx)
 	// The flight recorder's retained span trees would die with the process;
 	// dump them into the durable event log as an auxiliary record (or to
 	// stderr when no log is configured) so the last slow/truncated traces
@@ -456,56 +363,9 @@ func validateFlags(workers, queue int, maxBody int64, selectorWorkers int) error
 	return nil
 }
 
-// parsePeers parses the -peers flag: "id1=http://host:port,id2=...".
-func parsePeers(spec string) (map[string]string, error) {
-	peers := map[string]string{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("-peers entry %q is not id=url", part)
-		}
-		if _, dup := peers[id]; dup {
-			return nil, fmt.Errorf("-peers lists shard %q twice", id)
-		}
-		peers[id] = strings.TrimSuffix(url, "/")
-	}
-	return peers, nil
-}
-
 // usageError prints the flag summary after the error so a misconfigured
 // service fails with actionable output rather than a bare message.
 func usageError(err error) error {
 	flag.Usage()
 	return err
-}
-
-// buildLogger maps the -log-format/-log-level flags onto a slog.Logger
-// writing to stderr.
-func buildLogger(format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn, or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch strings.ToLower(format) {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-	}
 }

@@ -32,23 +32,3 @@ func TestValidateFlags(t *testing.T) {
 		})
 	}
 }
-
-func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("s1=http://a:1/, s2=http://b:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(peers) != 2 || peers["s1"] != "http://a:1" || peers["s2"] != "http://b:2" {
-		t.Fatalf("peers = %v", peers)
-	}
-
-	if peers, err := parsePeers(""); err != nil || len(peers) != 0 {
-		t.Fatalf("empty spec: peers=%v err=%v", peers, err)
-	}
-
-	for _, bad := range []string{"s1", "=http://a", "s1=", "s1=http://a,s1=http://b"} {
-		if _, err := parsePeers(bad); err == nil {
-			t.Errorf("parsePeers(%q) accepted malformed input", bad)
-		}
-	}
-}

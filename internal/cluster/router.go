@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +37,39 @@ const (
 type ShardAddr struct {
 	ID  string
 	URL string
+}
+
+// ParseShards parses a shard list flag, "id1=http://host:port,id2=...":
+// blanks around entries are ignored and a trailing "/" on a URL is
+// dropped. An empty spec yields no shards and no error; whether that is
+// allowed is the caller's call.
+func ParseShards(spec string) ([]ShardAddr, error) {
+	var shards []ShardAddr
+	seen := map[string]bool{}
+	for _, part := range strings.Split(spec, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		id, url, ok := strings.Cut(part, "=")
+		if !ok || id == "" || url == "" {
+			return nil, fmt.Errorf("entry %q is not id=url", part)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("shard %q listed twice", id)
+		}
+		seen[id] = true
+		shards = append(shards, ShardAddr{ID: id, URL: strings.TrimSuffix(url, "/")})
+	}
+	return shards, nil
+}
+
+// ShardURLs maps each shard id to its base URL.
+func ShardURLs(shards []ShardAddr) map[string]string {
+	urls := make(map[string]string, len(shards))
+	for _, sa := range shards {
+		urls[sa.ID] = sa.URL
+	}
+	return urls
 }
 
 // Config sizes the router. The zero value is not servable: at least one
@@ -242,17 +276,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	// The router is the natural place to stitch a cross-process trace: it
 	// fans /debug/trace/{id} out to every shard and merges their halves
 	// with its own route/attempt spans.
-	peers := make(map[string]string, len(cfg.Shards))
-	for _, sa := range cfg.Shards {
-		peers[sa.ID] = sa.URL
-	}
 	mux.Handle("GET /debug/trace/{id}", server.TraceHandler(server.TraceOptions{
 		Service: "sigrec-router",
 		Tracer:  cfg.Tracer,
-		Peers:   peers,
+		Peers:   ShardURLs(cfg.Shards),
 		Client:  rt.client,
 	}))
-	mux.HandleFunc("GET /debug/slowest", rt.handleSlowest)
+	mux.Handle("GET /debug/slowest", server.SlowestHandler(cfg.Tracer))
 	rt.mux = mux
 	return rt, nil
 }
@@ -300,17 +330,6 @@ func (rt *Router) pollOnce(ctx context.Context, sh *shard) {
 	}
 	rec.SetInt("p95_us", sh.p95us.Load())
 	rec.Finish(false, nil)
-}
-
-// --- GET /debug/slowest ---
-
-func (rt *Router) handleSlowest(w http.ResponseWriter, r *http.Request) {
-	if rt.cfg.Tracer == nil {
-		writeJSONError(w, http.StatusNotFound, "tracing disabled (start the router with a Tracer)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(rt.cfg.Tracer.Recorder().Snapshot())
 }
 
 // candidates returns the shards to try for a key, in order: the

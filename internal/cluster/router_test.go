@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -70,6 +71,44 @@ func counterValue(rt *Router, name string) uint64 {
 // A health-poll rising edge (shard back up after being down) must close
 // an open breaker immediately: a restarted shard rejoins within one poll
 // interval instead of sitting out the rest of its breaker cooldown.
+// TestParseShards pins the one id=url list parser behind sigrecd's -peers
+// and the router's -shards: order kept, blanks and a trailing "/" dropped,
+// an empty spec empty (not an error), malformed or duplicate entries
+// rejected.
+func TestParseShards(t *testing.T) {
+	cases := []struct {
+		spec string
+		want []ShardAddr
+	}{
+		{"s1=http://a:1/, s2=http://b:2", []ShardAddr{{"s1", "http://a:1"}, {"s2", "http://b:2"}}},
+		{"  s2=http://b:2 ,,\ts1=http://a:1  ", []ShardAddr{{"s2", "http://b:2"}, {"s1", "http://a:1"}}},
+		{"s1=http://a:1//", []ShardAddr{{"s1", "http://a:1/"}}},
+		{"", nil},
+		{" , ", nil},
+	}
+	for _, tc := range cases {
+		got, err := ParseShards(tc.spec)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseShards(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
+		}
+	}
+	if urls := ShardURLs(cases[0].want); len(urls) != 2 || urls["s1"] != "http://a:1" || urls["s2"] != "http://b:2" {
+		t.Errorf("ShardURLs = %v", urls)
+	}
+
+	for _, bad := range []string{
+		"s1",                      // missing =
+		"=http://a",               // empty id
+		"s1=",                     // empty url
+		"s1=http://a,s1=http://b", // duplicate id
+		"s1=http://a, s2",         // one bad entry among good ones
+	} {
+		if got, err := ParseShards(bad); err == nil {
+			t.Errorf("ParseShards(%q) = %v, accepted malformed input", bad, got)
+		}
+	}
+}
+
 func TestHealthRecoveryClosesBreaker(t *testing.T) {
 	stub := newStubShard(t, okRecover)
 	rt := newTestRouter(t, Config{

@@ -188,3 +188,61 @@ func TestStartRootParenting(t *testing.T) {
 		t.Fatalf("derived record = %+v", derived)
 	}
 }
+
+// FuzzExtractTraceparent hardens the inbound trace-context path every
+// router and shard request crosses: Extract must never panic, an accepted
+// version-00 header must render back to itself (only the sampled bit of
+// the flags survives, so non-canonical flags render as 00/01), and a kept
+// tracestate must be the verbatim, printable, length-capped input.
+func FuzzExtractTraceparent(f *testing.F) {
+	valid := "00-" + tpTrace + "-" + tpSpan + "-01"
+	f.Add(valid, "vendor=1")
+	f.Add("00-"+tpTrace+"-"+tpSpan+"-fe", "")
+	f.Add("cc-"+tpTrace+"-"+tpSpan+"-01-extra", "a=1,b=2")
+	f.Add("ff-"+tpTrace+"-"+tpSpan+"-01", "x")
+	f.Add("00-"+strings.Repeat("0", 32)+"-"+tpSpan+"-01", "")
+	f.Add("garbage", "bad\x00state")
+	f.Add("", strings.Repeat("x", maxTracestateLen+1))
+	f.Fuzz(func(t *testing.T, tp, ts string) {
+		h := http.Header{}
+		h.Set(TraceparentHeader, tp)
+		h.Set(TracestateHeader, ts)
+		sc, result := Extract(h)
+
+		parsed, ok := ParseTraceparent(tp)
+		if ok && !parsed.Valid() {
+			t.Fatalf("accepted %q but its context is not Valid: %+v", tp, parsed)
+		}
+		if ok && strings.HasPrefix(tp, "00-") {
+			got := parsed.Traceparent()
+			if flags := tp[53:]; flags == "00" || flags == "01" {
+				if got != tp {
+					t.Fatalf("Traceparent() = %q, want the input %q", got, tp)
+				}
+			} else if got[:53] != tp[:53] {
+				t.Fatalf("Traceparent() = %q does not keep the ids of %q", got, tp)
+			}
+		}
+
+		if result != ExtractOK {
+			if sc != (SpanContext{}) {
+				t.Fatalf("result %s leaked a context: %+v", result, sc)
+			}
+			return
+		}
+		if !ok || sc.TraceID != parsed.TraceID || sc.SpanID != parsed.SpanID {
+			t.Fatalf("Extract ok for %q disagrees with ParseTraceparent (%+v, ok=%v)", tp, parsed, ok)
+		}
+		if sc.State == "" {
+			return
+		}
+		if sc.State != ts || len(sc.State) > maxTracestateLen {
+			t.Fatalf("kept tracestate %q (len %d) from input %q", sc.State, len(sc.State), ts)
+		}
+		for i := 0; i < len(sc.State); i++ {
+			if c := sc.State[i]; c < 0x20 || c > 0x7e {
+				t.Fatalf("kept tracestate has byte %#x", c)
+			}
+		}
+	})
+}

@@ -158,14 +158,21 @@ func (e *Exporter) Enqueue(rec *obs.Record) {
 	}
 }
 
-// Start launches the export loop.
+// Start launches the export loop. A nil Exporter (export off) is a no-op.
 func (e *Exporter) Start() {
+	if e == nil {
+		return
+	}
 	go e.run()
 }
 
 // Close stops the loop, flushes any queued spans and one final metrics
-// snapshot, and waits (bounded by ctx) for the loop to exit.
+// snapshot, and waits (bounded by ctx) for the loop to exit. A nil
+// Exporter returns nil.
 func (e *Exporter) Close(ctx context.Context) error {
+	if e == nil {
+		return nil
+	}
 	close(e.done)
 	select {
 	case <-e.stopped:

@@ -172,6 +172,20 @@ func TestExporterDropsWhenQueueFull(t *testing.T) {
 	}
 }
 
+// TestExporterNilSafe pins the export-off contract the daemons rely on:
+// every method of a nil *Exporter is a no-op, so no caller guards it.
+func TestExporterNilSafe(t *testing.T) {
+	var exp *Exporter
+	exp.Start()
+	exp.Enqueue(nil)
+	if exp.Sink() != nil {
+		t.Error("nil exporter returned a non-nil sink")
+	}
+	if err := exp.Close(context.Background()); err != nil {
+		t.Errorf("nil exporter Close = %v, want nil", err)
+	}
+}
+
 func TestExporterGivesUpAfterRetries(t *testing.T) {
 	col := newCollector(t)
 	col.failNext = 100 // never recovers within the retry budget

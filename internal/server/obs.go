@@ -112,71 +112,79 @@ func (s *Server) logRequest(r *http.Request, requestID string, status int, start
 	s.cfg.Logger.LogAttrs(r.Context(), level, "request", append(base, attrs...)...)
 }
 
-// --- GET /debug/slowest ---
+// --- GET /debug/slowest, /debug/events, /debug/slo ---
+//
+// One set of handlers serves these on sigrecd's service port, on every
+// -debug-addr listener, and (/debug/slowest) on the cluster router. Each
+// answers 404 when its subsystem is off.
 
-// handleSlowest serves the flight recorder: the span trees of the slowest
+// SlowestHandler serves the flight recorder: the span trees of the slowest
 // and the budget-truncated recoveries, JSON-encoded.
-func (s *Server) handleSlowest(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled (start the server with a Tracer)")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cfg.Tracer.Recorder().Snapshot())
+func SlowestHandler(tracer *obs.Tracer) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if tracer == nil {
+			writeError(w, http.StatusNotFound, "tracing disabled (-trace-slowest 0)")
+			return
+		}
+		writeJSON(w, http.StatusOK, tracer.Recorder().Snapshot())
+	})
 }
-
-// --- GET /debug/events ---
 
 // defaultEventTail is how many recent wide events /debug/events returns
 // when the request carries no n parameter.
 const defaultEventTail = 50
 
-// handleEvents tails the wide-event log: the most recent NDJSON lines,
+// eventsHandler tails the wide-event log: the most recent NDJSON lines,
 // newest last, straight from the writer's in-memory ring (no disk read).
 // ?n= bounds the line count.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	serveEventTail(w, r, s.cfg.EventLog)
-}
-
-func serveEventTail(w http.ResponseWriter, r *http.Request, log *eventlog.Writer) {
-	if log == nil {
-		writeError(w, http.StatusNotFound, "event log disabled (start the server with -event-log)")
-		return
-	}
-	n := defaultEventTail
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "n must be a positive integer")
+func eventsHandler(log *eventlog.Writer) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if log == nil {
+			writeError(w, http.StatusNotFound, "event log disabled (start with -event-log)")
 			return
 		}
-		n = v
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, line := range log.Tail(n) {
-		_, _ = w.Write(line)
-	}
+		n := defaultEventTail
+		if q := r.URL.Query().Get("n"); q != "" {
+			v, err := strconv.Atoi(q)
+			if err != nil || v <= 0 {
+				writeError(w, http.StatusBadRequest, "n must be a positive integer")
+				return
+			}
+			n = v
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		for _, line := range log.Tail(n) {
+			_, _ = w.Write(line)
+		}
+	})
 }
-
-// --- GET /debug/slo ---
 
 // sloResponse is the /debug/slo body.
 type sloResponse struct {
 	Objectives []slo.ObjectiveState `json:"objectives"`
 }
 
-// handleSLO serves the burn-rate engine's full state: per-objective
+// sloHandler serves the burn-rate engine's full state: per-objective
 // cumulative SLI position, every window's burn rate against its
 // threshold, and the alert flags.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	serveSLO(w, s.cfg.SLO)
+func sloHandler(ev *slo.Evaluator) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ev == nil {
+			writeError(w, http.StatusNotFound, "SLO engine disabled")
+			return
+		}
+		writeJSON(w, http.StatusOK, sloResponse{Objectives: ev.State()})
+	})
 }
 
-func serveSLO(w http.ResponseWriter, ev *slo.Evaluator) {
-	if ev == nil {
-		writeError(w, http.StatusNotFound, "SLO engine disabled (start the server with objectives)")
-		return
+// mountDebug registers the observability surfaces opts carries.
+func mountDebug(mux *http.ServeMux, opts DebugOptions) {
+	mux.Handle("GET /debug/slowest", SlowestHandler(opts.Tracer))
+	mux.Handle("GET /debug/events", eventsHandler(opts.Events))
+	mux.Handle("GET /debug/slo", sloHandler(opts.SLO))
+	if opts.Trace != nil {
+		mux.Handle("GET /debug/trace/{id}", opts.Trace)
 	}
-	writeJSON(w, http.StatusOK, sloResponse{Objectives: ev.State()})
 }
 
 // DebugOptions selects what a debug mux serves. Every field is optional:
@@ -212,22 +220,7 @@ func DebugHandler(opts DebugOptions) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/slowest", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			writeError(w, http.StatusNotFound, "tracing disabled")
-			return
-		}
-		writeJSON(w, http.StatusOK, opts.Tracer.Recorder().Snapshot())
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		serveEventTail(w, r, opts.Events)
-	})
-	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
-		serveSLO(w, opts.SLO)
-	})
-	if opts.Trace != nil {
-		mux.Handle("GET /debug/trace/{id}", opts.Trace)
-	}
+	mountDebug(mux, opts)
 	if opts.Metrics != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

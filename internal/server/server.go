@@ -122,6 +122,7 @@ type Server struct {
 	cache    *core.Cache
 	pool     *pool
 	mux      *http.ServeMux
+	debug    DebugOptions
 	draining atomic.Bool
 	// recoverFn is the pipeline entry point; tests stub it to control
 	// timing deterministically.
@@ -160,24 +161,31 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/recover/batch", s.handleBatch)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /debug/slowest", s.handleSlowest)
-	mux.HandleFunc("GET /debug/events", s.handleEvents)
-	mux.HandleFunc("GET /debug/slo", s.handleSLO)
 	service := cfg.Service
 	if service == "" {
 		service = "sigrecd"
 	}
-	mux.Handle("GET /debug/trace/{id}", TraceHandler(TraceOptions{
-		Service: service,
-		Tracer:  cfg.Tracer,
-		Peers:   cfg.TracePeers,
-	}))
+	s.debug = DebugOptions{
+		Tracer: cfg.Tracer,
+		Events: cfg.EventLog,
+		SLO:    cfg.SLO,
+		Trace: TraceHandler(TraceOptions{
+			Service: service,
+			Tracer:  cfg.Tracer,
+			Peers:   cfg.TracePeers,
+		}),
+	}
+	mountDebug(mux, s.debug)
 	s.mux = mux
 	return s
 }
 
 // Handler returns the root http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// DebugOptions returns the observability surfaces the service port
+// serves, so a -debug-addr listener can mirror them next to pprof.
+func (s *Server) DebugOptions() DebugOptions { return s.debug }
 
 // Mount attaches an extra handler to the server's mux, e.g. the cluster
 // peer-fill endpoint. pattern follows http.ServeMux syntax ("POST /x").
