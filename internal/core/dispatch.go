@@ -28,7 +28,10 @@ func extractSelectors(program *Program, lim limits) ([][4]byte, bool) {
 // attached to sp when tracing is on and folded into the recovery's wide
 // event when ev is non-nil.
 func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventlog.Event) ([][4]byte, bool) {
-	t := newTASE(program, nil, lim) // selWord nil: the selector stays symbolic
+	t := newTASE(program, nil, lim, getRegion()) // selWord nil: the selector stays symbolic
+	// The selectors are copied out of the events below, so the region can
+	// go back to the pool on return.
+	defer t.release()
 	events := t.run()
 	annotateTASE(sp, t, "")
 	finishTASE(t, ev)

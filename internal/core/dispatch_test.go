@@ -15,7 +15,7 @@ import (
 // default budgets and returns the finished engine.
 func walkDispatcher(t *testing.T, code []byte) *tase {
 	t.Helper()
-	eng := newTASE(evm.Disassemble(code), nil, defaultLimits())
+	eng := newTASE(evm.Disassemble(code), nil, defaultLimits(), newRegion())
 	eng.run()
 	return eng
 }
@@ -211,7 +211,7 @@ func TestDispatcherWalkBranchMatcher(t *testing.T) {
 		}
 		eng := walkDispatcher(t, code)
 		loads := map[uint64]Event{}
-		for _, ev := range findCDL(eng.events) {
+		for _, ev := range findCDL(eng.reg.events) {
 			if off, ok := ev.Off.ConstUint(); ok && off != 0 {
 				loads[off] = ev
 			}

@@ -274,21 +274,24 @@ type LinearTerm struct {
 
 // Linearize decomposes an expression over ADD/SUB/MUL-by-constant.
 func Linearize(e *Expr) Linear {
-	var acc linAcc
-	acc.terms = acc.buf[:0]
-	acc.add(e, evm.OneWord)
-	out := Linear{Const: acc.c}
-	// Drop cancelled terms; copy out so the result never aliases the
-	// accumulator's stack buffer.
+	// Terms accumulate in a stack array threaded through the recursion
+	// (linAdd returns the grown slice, so no pointer into the array is
+	// stored anywhere and it stays off the heap); only the result is
+	// copied out.
+	var buf [8]LinearTerm
+	var c evm.Word
+	terms := linAdd(buf[:0], &c, e, evm.OneWord)
+	out := Linear{Const: c}
+	// Drop cancelled terms.
 	n := 0
-	for i := range acc.terms {
-		if !acc.terms[i].Coeff.IsZero() {
+	for i := range terms {
+		if !terms[i].Coeff.IsZero() {
 			n++
 		}
 	}
 	if n > 0 {
 		out.Terms = make([]LinearTerm, 0, n)
-		for _, t := range acc.terms {
+		for _, t := range terms {
 			if !t.Coeff.IsZero() {
 				out.Terms = append(out.Terms, t)
 			}
@@ -330,51 +333,42 @@ func addLinearConst(c *evm.Word, e *Expr, coeff evm.Word) {
 	}
 }
 
-// linAcc accumulates terms in first-seen order. Linearizations are small
-// (a handful of atoms), so merging is a linear scan over a slice — no map,
-// no per-term heap nodes. Interned atoms merge by pointer; the rendered
+// linAdd adds coeff*e into the constant c and the terms, and returns the
+// terms. Terms keep first-seen order. Linearizations are small (a handful
+// of atoms), so merging is a linear scan over a slice — no map, no
+// per-term heap nodes. Interned atoms merge by pointer; the rendered
 // string (cached on the node) is the fallback so the noIntern differential
 // mode merges structurally identical duplicates exactly as before.
-type linAcc struct {
-	c     evm.Word
-	terms []LinearTerm
-	buf   [8]LinearTerm
-}
-
-func (a *linAcc) add(e *Expr, coeff evm.Word) {
+func linAdd(terms []LinearTerm, c *evm.Word, e *Expr, coeff evm.Word) []LinearTerm {
 	if e.Conc != nil {
-		a.c = a.c.Add(e.Conc.Mul(coeff))
-		return
+		*c = c.Add(e.Conc.Mul(coeff))
+		return terms
 	}
 	if e.Kind == KindApp {
 		switch e.Op {
 		case evm.ADD:
-			a.add(e.Args[0], coeff)
-			a.add(e.Args[1], coeff)
-			return
+			terms = linAdd(terms, c, e.Args[0], coeff)
+			return linAdd(terms, c, e.Args[1], coeff)
 		case evm.SUB:
-			a.add(e.Args[0], coeff)
-			a.add(e.Args[1], coeff.Neg())
-			return
+			terms = linAdd(terms, c, e.Args[0], coeff)
+			return linAdd(terms, c, e.Args[1], coeff.Neg())
 		case evm.MUL:
 			if e.Args[0].Conc != nil {
-				a.add(e.Args[1], coeff.Mul(*e.Args[0].Conc))
-				return
+				return linAdd(terms, c, e.Args[1], coeff.Mul(*e.Args[0].Conc))
 			}
 			if e.Args[1].Conc != nil {
-				a.add(e.Args[0], coeff.Mul(*e.Args[1].Conc))
-				return
+				return linAdd(terms, c, e.Args[0], coeff.Mul(*e.Args[1].Conc))
 			}
 		}
 	}
-	for i := range a.terms {
-		t := &a.terms[i]
+	for i := range terms {
+		t := &terms[i]
 		if t.Atom == e || t.Atom.String() == e.String() {
 			t.Coeff = t.Coeff.Add(coeff)
-			return
+			return terms
 		}
 	}
-	a.terms = append(a.terms, LinearTerm{Atom: e, Coeff: coeff})
+	return append(terms, LinearTerm{Atom: e, Coeff: coeff})
 }
 
 // TermFor returns the coefficient of the atom with the given canonical

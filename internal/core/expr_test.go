@@ -134,3 +134,36 @@ func TestMaskRecognition(t *testing.T) {
 		t.Error("all-ones is not a high mask below 32 bytes")
 	}
 }
+
+// TestLinearizeAllocs pins Linearize's allocations: the term accumulator
+// lives on the stack, so only the returned Terms slice is allocated.
+func TestLinearizeAllocs(t *testing.T) {
+	constOnly := NewApp(evm.ADD, NewConstUint(4), NewApp(evm.MUL, NewConstUint(32), NewConstUint(3)))
+	x := NewCData(NewConstUint(4))
+	cancelled := NewApp(evm.SUB, NewApp(evm.ADD, x, NewConstUint(7)), x)
+	// Eight distinct atoms, with constants and a scaled term mixed in.
+	var e *Expr = NewConstUint(0x24)
+	for i := uint64(0); i < 8; i++ {
+		atom := NewCData(NewConstUint(4 + 32*i))
+		if i%3 == 0 {
+			atom = NewApp(evm.MUL, NewConstUint(32), atom)
+		}
+		e = NewApp(evm.ADD, e, atom)
+	}
+	if got := len(Linearize(e).Terms); got != 8 {
+		t.Fatalf("test setup: %d terms, want 8", got)
+	}
+	for _, c := range []struct {
+		name string
+		e    *Expr
+		want float64
+	}{
+		{"constant", constOnly, 0},
+		{"cancelled", cancelled, 0},
+		{"eight atoms", e, 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { Linearize(c.e) }); got != c.want {
+			t.Errorf("%s: %v allocs per Linearize, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -13,11 +13,12 @@ import (
 // downstream (event dedup, common-subexpression reuse).
 //
 // An interner is confined to a single goroutine and lives for one trace.
-// The node tables are deliberately NOT pooled: clearing a map costs a
-// full-table memclr that small traces would pay at the previous trace's
-// high-water size, and generation-stamping retains stale trees that bloat
-// the GC-scanned heap. A fresh small table that grows to the trace's own
-// size measures faster than both.
+// It is part of that trace's region (see region.go): when the trace has
+// been inferred, the region is released and the tables are cleared for
+// the next trace rather than replaced. Clearing costs a memclr at the
+// table's high-water size, but the pool bounds that size (maxPooledEntries)
+// and regrowing fresh tables on every trace cost more, measured on the
+// cold-recovery benchmark.
 //
 // Nodes are split across three tables by kind so every key is compact —
 // applications hash 32 bytes (three child pointers plus a packed tag)
@@ -39,11 +40,11 @@ type interner struct {
 	// Slabs back the canonical nodes: every install carves its Expr, its
 	// concrete Word, and its Args array out of chunked arrays instead of
 	// individual heap objects. Nodes are immutable and share the trace's
-	// lifetime (nothing outlives the recovery holding an *Expr), so whole
-	// chunks die together and the per-node allocation disappears.
-	exprSlab []Expr
-	wordSlab []evm.Word
-	argSlab  []*Expr
+	// lifetime (nothing outlives the recovery holding an *Expr), so the
+	// chunks are rewound as one unit when the region is released.
+	exprs slab[Expr]
+	words slab[evm.Word]
+	args  slab[*Expr]
 
 	// smallConst caches the canonical nodes for constants 0..255 in front
 	// of the consts table — stack offsets, head offsets, and mask widths
@@ -76,22 +77,11 @@ type envInternKey struct {
 const internSlabLen = 128
 
 // newExpr carves one zeroed node from the slab.
-func (it *interner) newExpr() *Expr {
-	if len(it.exprSlab) == 0 {
-		it.exprSlab = make([]Expr, internSlabLen)
-	}
-	e := &it.exprSlab[0]
-	it.exprSlab = it.exprSlab[1:]
-	return e
-}
+func (it *interner) newExpr() *Expr { return &it.exprs.take(1)[0] }
 
 // newWord stores w in the word slab and returns its address.
 func (it *interner) newWord(w evm.Word) *evm.Word {
-	if len(it.wordSlab) == 0 {
-		it.wordSlab = make([]evm.Word, internSlabLen)
-	}
-	p := &it.wordSlab[0]
-	it.wordSlab = it.wordSlab[1:]
+	p := &it.words.take(1)[0]
 	*p = w
 	return p
 }
@@ -99,32 +89,53 @@ func (it *interner) newWord(w evm.Word) *evm.Word {
 // ownArgs copies the operands into slab-backed storage (callers pass
 // scratch arrays that must not be aliased by the canonical node).
 func (it *interner) ownArgs(args []*Expr) []*Expr {
-	n := len(args)
-	if n == 0 {
+	if len(args) == 0 {
 		return nil
 	}
-	if len(it.argSlab) < n {
-		it.argSlab = make([]*Expr, internSlabLen)
-	}
-	owned := it.argSlab[:n:n]
-	it.argSlab = it.argSlab[n:]
+	owned := it.args.take(len(args))
 	copy(owned, args)
 	return owned
 }
 
-func newInterner() *interner {
-	// No size hints: most traces are small, and empty tables are cheap.
-	return &interner{
-		apps:   make(map[appInternKey]*Expr),
-		consts: make(map[evm.Word]*Expr),
-		envs:   make(map[envInternKey]*Expr),
+// init makes the empty tables. No size hints: most traces are small, and
+// empty tables are cheap.
+func (it *interner) init() {
+	it.apps = make(map[appInternKey]*Expr)
+	it.consts = make(map[evm.Word]*Expr)
+	it.envs = make(map[envInternKey]*Expr)
+}
+
+// reset empties the tables and rewinds the slabs for the region's next
+// trace; every node handed out so far is dead. With poison set it
+// scribbles the released nodes instead of clearing them (see
+// poisonRegions), and scrub must run before the next trace.
+func (it *interner) reset(poison bool) {
+	clear(it.apps)
+	clear(it.consts)
+	clear(it.envs)
+	it.nextID, it.hits, it.misses = 0, 0, 0
+	if !poison {
+		it.exprs.reset(nil)
+		it.words.reset(nil)
+		it.args.reset(nil)
+		it.smallConst = [256]*Expr{}
+		return
+	}
+	it.exprs.reset(&poisonExpr)
+	it.words.reset(&poisonWord)
+	arg := &poisonExpr
+	it.args.reset(&arg)
+	for i := range it.smallConst {
+		it.smallConst[i] = &poisonExpr
 	}
 }
 
-// release drops the lookup structures. The canonical nodes themselves live
-// on in the recorded events.
-func (it *interner) release() {
-	it.apps, it.consts, it.envs = nil, nil, nil
+// scrub zeroes what a poisoned reset scribbled.
+func (it *interner) scrub() {
+	it.exprs.scrub()
+	it.words.scrub()
+	it.args.scrub()
+	it.smallConst = [256]*Expr{}
 }
 
 // tableLen reports the total number of installed nodes (test hook).

@@ -7,8 +7,7 @@ import (
 )
 
 func TestInternerCanonicalizesConstruction(t *testing.T) {
-	it := newInterner()
-	defer it.release()
+	it := &newRegion().it
 
 	a := it.constUint(42)
 	b := it.constUint(42)
@@ -43,8 +42,7 @@ func TestInternerCanonicalizesConstruction(t *testing.T) {
 }
 
 func TestInternerAppDoesNotAliasScratch(t *testing.T) {
-	it := newInterner()
-	defer it.release()
+	it := &newRegion().it
 
 	scratch := [3]*Expr{it.constUint(1), it.constUint(2)}
 	e := it.appN(evm.ADD, scratch[:2])
@@ -55,8 +53,7 @@ func TestInternerAppDoesNotAliasScratch(t *testing.T) {
 }
 
 func TestInternerCanonicalForeignTree(t *testing.T) {
-	it := newInterner()
-	defer it.release()
+	it := &newRegion().it
 
 	// Build the same structure twice without the interner (the noIntern
 	// mode) and check canonicalization converges to one node with one id.
@@ -87,25 +84,27 @@ func TestInternerCanonicalForeignTree(t *testing.T) {
 }
 
 func TestInternerReleaseIsolation(t *testing.T) {
-	it := newInterner()
+	r := getRegion()
+	it := &r.it
 	first := it.constUint(7)
+	it.cdata(first)
 	if it.tableLen() == 0 {
 		t.Fatalf("expected a populated table")
 	}
-	it.release()
-	it2 := newInterner()
-	defer it2.release()
-	if it2.nextID != 0 || it2.hits != 0 || it2.misses != 0 {
-		t.Fatalf("pooled interner counters not reset: nextID=%d hits=%d misses=%d",
-			it2.nextID, it2.hits, it2.misses)
+	r.release()
+	// The pool may hand the same region back: its tables, counters and
+	// slabs must start over either way.
+	r2 := getRegion()
+	defer r2.release()
+	it2 := &r2.it
+	if it2.nextID != 0 || it2.hits != 0 || it2.misses != 0 || it2.tableLen() != 0 {
+		t.Fatalf("recycled interner not reset: nextID=%d hits=%d misses=%d entries=%d",
+			it2.nextID, it2.hits, it2.misses, it2.tableLen())
 	}
-	// Entries from the previous trace are generation-dead: the same key
-	// must come back as a fresh node with a fresh id, not the stale one.
+	// Entries from the previous trace are dead: the same key must come
+	// back as a clean miss on a zeroed node, not a stale hit.
 	again := it2.constUint(7)
-	if again == first {
-		t.Fatalf("stale canonical node leaked across release()")
-	}
-	if it2.hits != 0 || it2.misses != 1 {
-		t.Fatalf("expected a clean miss after release: hits=%d misses=%d", it2.hits, it2.misses)
+	if it2.hits != 0 || it2.misses != 1 || again.id != 1 || again.str != "" || again.Args != nil {
+		t.Fatalf("expected a clean miss after release: hits=%d misses=%d node=%+v", it2.hits, it2.misses, *again)
 	}
 }

@@ -102,18 +102,17 @@ var mRuleFired = func() [NumRules + 1]*telemetry.Counter {
 func Metrics() *telemetry.Registry { return tel }
 
 // finishTASE folds one finished exploration into the aggregate counters —
-// and, when a wide event is being built for the recovery, into the event —
-// then retires the engine's interner. Per-trace counts are accumulated
-// locally during exploration and flushed here in one shot, so the hot loop
-// never touches an atomic. ev nil is the events-off path.
+// and, when a wide event is being built for the recovery, into the event.
+// It reads the interner's counters, so it runs before the engine's region
+// is released. Per-trace counts are accumulated locally during exploration
+// and flushed here in one shot, so the hot loop never touches an atomic.
+// ev nil is the events-off path.
 func finishTASE(t *tase, ev *eventlog.Event) {
 	if ev != nil {
 		ev.Paths += int64(t.paths)
 		ev.Steps += int64(t.totSteps)
 		ev.Pruned += int64(t.pruned)
-		if t.it != nil {
-			ev.AddIntern(t.it.hits, t.it.misses)
-		}
+		ev.AddIntern(t.it.hits, t.it.misses)
 		if t.trunc && ev.TruncCause == "" {
 			ev.TruncCause = t.truncationCause()
 		}
@@ -121,19 +120,15 @@ func finishTASE(t *tase, ev *eventlog.Event) {
 	mPathsExplored.Add(uint64(t.paths))
 	mPathsPruned.Add(uint64(t.pruned))
 	mTASESteps.Add(uint64(t.totSteps))
-	mEvents.Add(uint64(len(t.events)))
+	mEvents.Add(uint64(len(t.reg.events)))
 	mStateGets.Add(t.stateGets)
 	mCloneBytes.Add(t.cloneBytes)
 	if t.trunc {
 		mTruncCause.With(t.truncationCause()).Inc()
 	}
-	if t.it != nil {
-		mInternHits.Add(t.it.hits)
-		mInternMisses.Add(t.it.misses)
-		if total := mInternHits.Load() + mInternMisses.Load(); total > 0 {
-			mInternHitRate.Set(int64(mInternHits.Load() * 1000 / total))
-		}
-		t.it.release()
-		t.it = nil
+	mInternHits.Add(t.it.hits)
+	mInternMisses.Add(t.it.misses)
+	if total := mInternHits.Load() + mInternMisses.Load(); total > 0 {
+		mInternHitRate.Set(int64(mInternHits.Load() * 1000 / total))
 	}
 }

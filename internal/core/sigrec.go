@@ -248,7 +248,8 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 	// Each phase boundary shares one clock read (NowUS) between the ending
 	// span and the starting one, halving the tracer's clock cost.
 	dsp := rec.Span("disassemble")
-	program := evm.Disassemble(code)
+	program := getProgram(code)
+	defer releaseProgram(program)
 	t1 := time.Now()
 	var now int64
 	if dsp != nil {
@@ -302,7 +303,9 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 		}
 		p0 := time.Now()
 		esp := rec.SpanAt("explore", now)
-		tr := traceFunctionSpan(program, sel, lim, esp, selHex, ev)
+		tr, t := traceFunctionEngine(program, sel, lim, getRegion())
+		annotateTASE(esp, t, selHex)
+		finishTASE(t, ev)
 		p1 := time.Now()
 		if esp != nil {
 			now = rec.NowUS()
@@ -311,6 +314,7 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 		isp := rec.SpanAt("infer", now)
 		d := Infer(tr)
 		p2 := time.Now()
+		t.release()
 		if isp != nil {
 			isp.SetAttrs(
 				obs.Attr{Key: "selector", Str: selHex},
@@ -375,7 +379,7 @@ func recoverSelectorsParallel(res *Result, program *Program, selectors [][4]byte
 				o := &outs[i]
 				o.exploreStartUS = rec.NowUS()
 				p0 := time.Now()
-				o.tr, o.t = traceFunctionEngine(program, selectors[i], lim)
+				o.tr, o.t = traceFunctionEngine(program, selectors[i], lim, getRegion())
 				p1 := time.Now()
 				o.exploreEndUS = rec.NowUS()
 				o.inf = Infer(o.tr)
@@ -404,6 +408,7 @@ func recoverSelectorsParallel(res *Result, program *Program, selectors [][4]byte
 			isp.EndAt(o.inferEndUS)
 		}
 		finishTASE(o.t, ev)
+		o.t.release() // explored, inferred and counted: the trace is dead
 		*exploreD += o.exploreD
 		*inferD += o.inferD
 		res.Rules.Add(o.inf.Stats)

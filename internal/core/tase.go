@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"sigrec/internal/eventlog"
 	"sigrec/internal/evm"
 	"sigrec/internal/obs"
 )
@@ -170,9 +169,8 @@ type tase struct {
 	program    *Program
 	selWord    *evm.Word // value returned for CALLDATALOAD(0), nil = symbolic
 	lim        limits
-	it         *interner // per-trace hash-consing table
-	events     []Event
-	seen       map[eventID]bool
+	reg        *region   // the exploration's interner, events and dedup set
+	it         *interner // &reg.it, the per-trace hash-consing table
 	envSeq     int
 	paths      int
 	totSteps   int
@@ -184,9 +182,18 @@ type tase struct {
 	stateGets  uint64 // state allocator requests (pool reuses + fresh allocs)
 }
 
-// newTASE builds an exploration engine with a fresh interner.
-func newTASE(program *Program, selWord *evm.Word, lim limits) *tase {
-	return &tase{program: program, selWord: selWord, lim: lim, it: newInterner()}
+// newTASE builds an exploration engine over an empty region: newRegion
+// for results the caller keeps, getRegion when the caller releases the
+// engine once its trace is inferred.
+func newTASE(program *Program, selWord *evm.Word, lim limits, reg *region) *tase {
+	return &tase{program: program, selWord: selWord, lim: lim, reg: reg, it: &reg.it}
+}
+
+// release returns the engine's region to the pool: the trace's events
+// and expressions are dead from here on.
+func (t *tase) release() {
+	t.reg.release()
+	t.reg, t.it = nil, nil
 }
 
 // eventID is the dedup key of an Event: expression identity is the interned
@@ -238,10 +245,8 @@ func annotateTASE(sp *obs.Span, t *tase, selHex string) {
 		obs.Attr{Key: "steps", Num: int64(t.totSteps)},
 		obs.Attr{Key: "pruned", Num: int64(t.pruned)},
 	)
-	if t.it != nil {
-		if total := t.it.hits + t.it.misses; total > 0 {
-			attrs = append(attrs, obs.Attr{Key: "intern_hit_permille", Num: int64(t.it.hits * 1000 / total)})
-		}
+	if total := t.it.hits + t.it.misses; total > 0 {
+		attrs = append(attrs, obs.Attr{Key: "intern_hit_permille", Num: int64(t.it.hits * 1000 / total)})
 	}
 	if cause := t.truncationCause(); cause != "" {
 		attrs = append(attrs, obs.Attr{Key: "truncated", Str: cause})
@@ -277,10 +282,6 @@ type Program = evm.Program
 
 // run explores all paths and returns the deduplicated events.
 func (t *tase) run() []Event {
-	t.seen = make(map[eventID]bool)
-	if t.it == nil {
-		t.it = newInterner()
-	}
 	if t.lim.maxSteps <= 0 {
 		t.lim.maxSteps = maxTotalSteps
 	}
@@ -310,7 +311,7 @@ func (t *tase) run() []Event {
 			t.releaseState(st)
 		}
 	}
-	return t.events
+	return t.reg.events
 }
 
 // newState takes a zeroed state from the pool.
@@ -406,13 +407,13 @@ func (t *tase) explore(st *state) []*state {
 			t.trunc = true
 			break
 		}
-		ins, ok := t.program.At(st.pc)
+		idx, ok := t.program.IndexOf(st.pc)
 		if !ok {
 			break // ran off the end: STOP
 		}
 		st.steps++
 		t.totSteps++
-		fork, done := t.step(st, ins)
+		fork, done := t.step(st, &t.program.Instructions[idx])
 		if fork != nil {
 			forks = append(forks, fork)
 		}
@@ -475,11 +476,12 @@ func (t *tase) fresh(label string) *Expr {
 // record deduplicates and stores an event.
 func (t *tase) record(ev Event) {
 	key := t.eventID(ev)
-	if t.seen[key] {
+	r := t.reg
+	if r.seen[key] {
 		return
 	}
-	t.seen[key] = true
-	t.events = append(t.events, ev)
+	r.seen[key] = true
+	r.events = append(r.events, ev)
 }
 
 // eventID builds the integer dedup key of an event from interned ids.
@@ -517,7 +519,7 @@ func guardsSnapshot(st *state) []Guard {
 // step executes one instruction. It returns a forked state to queue (at
 // most one, from a symbolic JUMPI whose fall-through this path keeps
 // following) and whether the path is done.
-func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
+func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 	op := ins.Op
 	if !op.Defined() {
 		return nil, true
@@ -843,35 +845,27 @@ func TraceFunction(program *Program, selector [4]byte) Trace {
 }
 
 // traceFunction is TraceFunction under caller-supplied limits; it also
-// reports exploration counters into the pipeline telemetry and recycles
-// the engine's interner.
+// reports exploration counters into the pipeline telemetry. The trace's
+// nodes live in a region of their own, never recycled, so the caller may
+// keep it.
 func traceFunction(program *Program, selector [4]byte, lim limits) Trace {
-	return traceFunctionSpan(program, selector, lim, nil, "", nil)
-}
-
-// traceFunctionSpan is traceFunction with the exploration's counters
-// (selector, paths, steps, intern hit rate, truncation cause) attached to
-// sp when tracing is on and folded into the recovery's wide event when ev
-// is non-nil; sp/ev nil is the zero-cost untraced path.
-func traceFunctionSpan(program *Program, selector [4]byte, lim limits, sp *obs.Span, selHex string, ev *eventlog.Event) Trace {
-	tr, t := traceFunctionEngine(program, selector, lim)
-	annotateTASE(sp, t, selHex)
-	finishTASE(t, ev)
+	tr, t := traceFunctionEngine(program, selector, lim, newRegion())
+	finishTASE(t, nil)
 	return tr
 }
 
-// traceFunctionEngine runs the exploration and returns the finished engine
-// alongside the trace, leaving span annotation and counter folding to the
-// caller. The parallel per-selector path uses this: workers explore
-// concurrently (the engine is goroutine-confined), and the merge loop
-// calls annotateTASE/finishTASE in deterministic selector order so span
-// trees, telemetry, and wide-event accumulation are byte-identical to the
-// sequential run.
-func traceFunctionEngine(program *Program, selector [4]byte, lim limits) (Trace, *tase) {
+// traceFunctionEngine runs the exploration on reg and returns the finished
+// engine alongside the trace, leaving span annotation, counter folding
+// and the region's release to the caller. Workers of the parallel
+// per-selector path explore concurrently (the engine is goroutine-
+// confined), and the merge loop calls annotateTASE/finishTASE in
+// deterministic selector order so span trees, telemetry, and wide-event
+// accumulation are byte-identical to the sequential run.
+func traceFunctionEngine(program *Program, selector [4]byte, lim limits, reg *region) (Trace, *tase) {
 	var b [32]byte
 	copy(b[:], selector[:])
 	selWord := evm.WordFromBytes(b[:])
-	t := newTASE(program, &selWord, lim)
+	t := newTASE(program, &selWord, lim, reg)
 	events := t.run()
 	return Trace{Selector: selector, Events: events, Truncated: t.trunc}, t
 }

@@ -17,7 +17,7 @@ func buildAndTrace(t *testing.T, build func(a *evm.Assembler)) []Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &tase{program: evm.Disassemble(code)}
+	eng := newTASE(evm.Disassemble(code), nil, limits{}, newRegion())
 	return eng.run()
 }
 

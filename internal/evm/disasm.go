@@ -41,6 +41,8 @@ type Program struct {
 	// and answers IsJumpDest too (a JUMPDEST byte is a jump target exactly
 	// when an instruction starts there).
 	byPC []int32
+	// arena backs every instruction's ArgBytes (kept for DisassembleInto).
+	arena []byte
 }
 
 // Disassemble decodes runtime bytecode with a linear sweep, the same way the
@@ -49,6 +51,15 @@ type Program struct {
 // A counting pre-pass sizes the instruction slice exactly, and all PUSH
 // immediates share one arena allocation.
 func Disassemble(code []byte) *Program {
+	return DisassembleInto(new(Program), code)
+}
+
+// DisassembleInto is Disassemble decoding into p, reusing p's instruction,
+// index and immediate arrays when their capacity suffices; it returns p.
+// Every slice a previous decode handed out (Instructions, ArgBytes) is
+// overwritten, so a caller recycles p only once nothing reads the old
+// decode.
+func DisassembleInto(p *Program, code []byte) *Program {
 	nIns, nImm := 0, 0
 	for pc := 0; pc < len(code); {
 		size := 1 + Op(code[pc]).ImmediateSize()
@@ -56,15 +67,14 @@ func Disassemble(code []byte) *Program {
 		nIns++
 		pc += size
 	}
-	p := &Program{
-		Code:         code,
-		Instructions: make([]Instruction, 0, nIns),
-		byPC:         make([]int32, len(code)),
-	}
+	p.Code = code
+	p.Instructions = reuse(p.Instructions, nIns)[:0]
+	p.byPC = reuse(p.byPC, len(code))
+	p.arena = reuse(p.arena, nImm)
 	for i := range p.byPC {
 		p.byPC[i] = -1
 	}
-	arena := make([]byte, nImm)
+	arena := p.arena
 	for pc := 0; pc < len(code); {
 		op := Op(code[pc])
 		ins := Instruction{PC: uint64(pc), Op: op}
@@ -75,6 +85,7 @@ func Disassemble(code []byte) *Program {
 			arena = arena[imm:]
 			if end > len(code) {
 				copy(raw, code[pc+1:])
+				clear(raw[len(code)-pc-1:])
 				ins.Truncated = true
 			} else {
 				copy(raw, code[pc+1:end])
@@ -88,6 +99,14 @@ func Disassemble(code []byte) *Program {
 		pc += size
 	}
 	return p
+}
+
+// reuse returns s resized to n, keeping its backing array when it holds n.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // At returns the instruction at the given program counter, if one starts

@@ -171,3 +171,44 @@ func TestOpcodeTableProperties(t *testing.T) {
 }
 
 var SWAP3 = Op(byte(SWAP1) + 2)
+
+// TestDisassembleIntoReuse decodes a sequence of programs into one
+// recycled Program — longer, shorter, with a truncated PUSH landing on
+// arena bytes a previous decode filled — and checks every decode against
+// a fresh Disassemble.
+func TestDisassembleIntoReuse(t *testing.T) {
+	codes := [][]byte{
+		{byte(PUSH32), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+			17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+			byte(PUSH2), 0xff, 0xee, byte(JUMPDEST), byte(STOP)},
+		{byte(PUSH4), 0xaa, 0xbb},
+		{byte(JUMPDEST), byte(PUSH1), 0x04, byte(CALLDATALOAD), byte(PUSH1 + 7), 0x01},
+		nil,
+		{0x0c, byte(PUSH1), 0x07, byte(JUMPDEST)},
+	}
+	var p Program
+	for i, code := range codes {
+		got := DisassembleInto(&p, code)
+		if got != &p {
+			t.Fatalf("code %d: DisassembleInto returned another Program", i)
+		}
+		want := Disassemble(code)
+		if len(got.Instructions) != len(want.Instructions) {
+			t.Fatalf("code %d: %d instructions, want %d", i, len(got.Instructions), len(want.Instructions))
+		}
+		for j := range want.Instructions {
+			g, w := got.Instructions[j], want.Instructions[j]
+			if g.String() != w.String() || !g.Arg.Eq(w.Arg) || g.Truncated != w.Truncated {
+				t.Errorf("code %d instruction %d = %v (arg %v), want %v (arg %v)", i, j, g, g.Arg, w, w.Arg)
+			}
+		}
+		for pc := uint64(0); pc <= uint64(len(code)); pc++ {
+			gi, gok := got.IndexOf(pc)
+			wi, wok := want.IndexOf(pc)
+			if gi != wi || gok != wok || got.IsJumpDest(pc) != want.IsJumpDest(pc) {
+				t.Errorf("code %d pc %d: index (%d,%v) jumpdest %v, want (%d,%v) %v",
+					i, pc, gi, gok, got.IsJumpDest(pc), wi, wok, want.IsJumpDest(pc))
+			}
+		}
+	}
+}
